@@ -288,6 +288,12 @@ void Server::AdmitSolve(std::uint64_t seq, ServeRequest request) {
     state->request = std::move(request);
     live_[state->request.id] = state;
   }
+  if (UsesCache(state->request)) {
+    // Registered before Submit: a later duplicate must see this request
+    // as still computing its key, however the pool schedules the two.
+    std::lock_guard<std::mutex> lock(flights_mutex_);
+    keying_.insert(seq);
+  }
   ThreadPool::Default().Submit([this, state] {
     std::string response;
     try {
@@ -303,6 +309,7 @@ void Server::AdmitSolve(std::uint64_t seq, ServeRequest request) {
           state->request.id,
           InternalError("solve threw a non-exception object"));
     }
+    LeaveFlight(*state);
     Emit(state->seq, std::move(response));
     {
       std::lock_guard<std::mutex> lock(state_mutex_);
@@ -310,8 +317,11 @@ void Server::AdmitSolve(std::uint64_t seq, ServeRequest request) {
       ++counters_.completed;
       auto it = live_.find(state->request.id);
       if (it != live_.end() && it->second == state) live_.erase(it);
+      // Notify under the lock: once in_flight_ reads 0 the drain may
+      // return and the server be destroyed, so the worker must not touch
+      // idle_cv_ after unlocking.
+      idle_cv_.notify_all();
     }
-    idle_cv_.notify_all();
   });
 }
 
@@ -334,10 +344,9 @@ std::string Server::SolveMqoRequest(RequestState& state,
                                     const Deadline& deadline) {
   const ServeRequest& request = state.request;
   const MqoProblem& problem = *request.mqo;
-  const bool use_cache = request.use_cache && cache_.Capacity() > 0;
+  const bool use_cache = UsesCache(request);
   QuboSignature signature;
   CacheKey key{0, 0};
-  bool holds_flight = false;
   if (use_cache) {
     // The encoding is cheap relative to a solve; computing it up front
     // lets a cache hit skip the solver entirely.
@@ -347,13 +356,12 @@ std::string Server::SolveMqoRequest(RequestState& state,
     }
     signature = ComputeQuboSignature(encoding->qubo);
     key = {signature.canonical_hash, OptionsHash(kMqoKeyTag, request)};
-    holds_flight = AcquireFlight(key, state.token);
+    AcquireFlight(state, key);
     CacheEntry entry;
     const CacheHitKind kind =
         cache_.Lookup(key.first, key.second, signature.exact_hash, &entry);
     if (kind == CacheHitKind::kExact) {
       QQO_COUNT("serve.cache.hit", 1);
-      if (holds_flight) ReleaseFlight(key);
       StatusOr<JsonValue> payload = JsonValue::ParseOrStatus(entry.payload);
       QOPT_CHECK_MSG(payload.ok(), "cached payload failed to re-parse");
       return MakeOkResponse(request.id, true, *payload);
@@ -370,7 +378,6 @@ std::string Server::SolveMqoRequest(RequestState& state,
           EnergiesMatch(energy, entry.energy) &&
           problem.DecodeBits(bits, &selection)) {
         QQO_COUNT("serve.cache.hit", 1);
-        if (holds_flight) ReleaseFlight(key);
         StatusOr<JsonValue> payload =
             JsonValue::ParseOrStatus(entry.payload);
         QOPT_CHECK_MSG(payload.ok(), "cached payload failed to re-parse");
@@ -409,7 +416,6 @@ std::string Server::SolveMqoRequest(RequestState& state,
     }
     response = MakeOkResponse(request.id, false, payload);
   }
-  if (holds_flight) ReleaseFlight(key);
   return response;
 }
 
@@ -417,10 +423,9 @@ std::string Server::SolveJoinRequest(RequestState& state,
                                      const Deadline& deadline) {
   const ServeRequest& request = state.request;
   const QueryGraph& graph = *request.join_graph;
-  const bool use_cache = request.use_cache && cache_.Capacity() > 0;
+  const bool use_cache = UsesCache(request);
   QuboSignature signature;
   CacheKey key{0, 0};
-  bool holds_flight = false;
   std::optional<JoinOrderEncoding> encoding;
   std::optional<QuboModel> qubo;
   if (use_cache) {
@@ -433,13 +438,12 @@ std::string Server::SolveJoinRequest(RequestState& state,
     qubo = EncodeBilpAsQubo(encoding->bilp).qubo;
     signature = ComputeQuboSignature(*qubo);
     key = {signature.canonical_hash, OptionsHash(kJoinKeyTag, request)};
-    holds_flight = AcquireFlight(key, state.token);
+    AcquireFlight(state, key);
     CacheEntry entry;
     const CacheHitKind kind =
         cache_.Lookup(key.first, key.second, signature.exact_hash, &entry);
     if (kind == CacheHitKind::kExact) {
       QQO_COUNT("serve.cache.hit", 1);
-      if (holds_flight) ReleaseFlight(key);
       StatusOr<JsonValue> payload = JsonValue::ParseOrStatus(entry.payload);
       QOPT_CHECK_MSG(payload.ok(), "cached payload failed to re-parse");
       return MakeOkResponse(request.id, true, *payload);
@@ -453,7 +457,6 @@ std::string Server::SolveJoinRequest(RequestState& state,
           EnergiesMatch(energy, entry.energy) &&
           DecodeJoinOrder(*encoding, bits, &order)) {
         QQO_COUNT("serve.cache.hit", 1);
-        if (holds_flight) ReleaseFlight(key);
         StatusOr<JsonValue> payload =
             JsonValue::ParseOrStatus(entry.payload);
         QOPT_CHECK_MSG(payload.ok(), "cached payload failed to re-parse");
@@ -491,26 +494,47 @@ std::string Server::SolveJoinRequest(RequestState& state,
     }
     response = MakeOkResponse(request.id, false, payload);
   }
-  if (holds_flight) ReleaseFlight(key);
   return response;
 }
 
-bool Server::AcquireFlight(const CacheKey& key, const CancelToken& token) {
-  std::unique_lock<std::mutex> lock(flights_mutex_);
-  // QQO_LOOP(serve.flight)
-  while (flights_.count(key) > 0) {
-    QQO_COUNT("serve.wall.flight_waits", 1);
-    if (token.cancelled()) return false;
-    flights_cv_.wait_for(lock, std::chrono::milliseconds(5));
-  }
-  flights_.insert(key);
-  return true;
+bool Server::UsesCache(const ServeRequest& request) const {
+  return request.use_cache && cache_.Capacity() > 0;
 }
 
-void Server::ReleaseFlight(const CacheKey& key) {
+void Server::AcquireFlight(RequestState& state, const CacheKey& key) {
+  std::unique_lock<std::mutex> lock(flights_mutex_);
+  keying_.erase(state.seq);
+  std::set<std::uint64_t>& flight = flights_[key];
+  flight.insert(state.seq);
+  state.flight = key;
+  flights_cv_.notify_all();  // a later request may be waiting on our key
+  // The pool is FIFO, so every earlier request has started and computes
+  // its key without waiting on anything: the wait below ends as soon as
+  // they have, and the earlier duplicates' solves are done.
+  // QQO_LOOP(serve.flight)
+  while (*flight.begin() != state.seq ||
+         (!keying_.empty() && *keying_.begin() < state.seq)) {
+    QQO_COUNT("serve.wall.flight_waits", 1);
+    if (state.token.cancelled()) {
+      // Gave up: leave so the waiters behind this request are not held.
+      lock.unlock();
+      LeaveFlight(state);
+      return;
+    }
+    flights_cv_.wait_for(lock, std::chrono::milliseconds(5));
+  }
+}
+
+void Server::LeaveFlight(RequestState& state) {
   {
     std::lock_guard<std::mutex> lock(flights_mutex_);
-    flights_.erase(key);
+    keying_.erase(state.seq);
+    if (state.flight.has_value()) {
+      auto it = flights_.find(*state.flight);
+      it->second.erase(state.seq);
+      if (it->second.empty()) flights_.erase(it);
+      state.flight.reset();
+    }
   }
   flights_cv_.notify_all();
 }

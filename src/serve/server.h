@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <string>
@@ -78,8 +79,11 @@ struct ServerCounters {
 /// Determinism: responses are emitted strictly in request order through a
 /// sequence-numbered reorder buffer, "stats" waits for all prior solves
 /// (a barrier), and concurrent duplicates of one cache key are coalesced
-/// (single flight) — so a corpus of serial-dispatch requests produces a
-/// byte-identical response stream at any QQO_THREADS setting.
+/// (single flight) in request order: the lowest seq of concurrent
+/// duplicates leads, and a later request waits only for earlier requests
+/// to compute their keys, never for their solves — so a corpus of
+/// serial-dispatch requests produces a byte-identical response stream at
+/// any QQO_THREADS setting.
 class Server {
  public:
   explicit Server(const ServerOptions& options);
@@ -105,14 +109,16 @@ class Server {
   const SolutionCache& Cache() const { return cache_; }
 
  private:
+  using CacheKey = std::pair<std::uint64_t, std::uint64_t>;
   struct RequestState {
     explicit RequestState(const CancelToken* drain_token)
         : token(drain_token) {}
     std::uint64_t seq = 0;
     ServeRequest request;
     CancelToken token;  ///< Linked to drain_token_: drain cancels all.
+    /// The flight this request joined (as leader or waiter), if any.
+    std::optional<CacheKey> flight;
   };
-  using CacheKey = std::pair<std::uint64_t, std::uint64_t>;
 
   /// Accept-thread handling of one raw input line.
   void HandleLine(const std::string& line);
@@ -125,10 +131,18 @@ class Server {
   std::string SolveMqoRequest(RequestState& state, const Deadline& deadline);
   std::string SolveJoinRequest(RequestState& state, const Deadline& deadline);
 
-  /// Single-flight coalescing. True when the caller now owns the key and
-  /// must ReleaseFlight; false when it gave up waiting (cancelled).
-  bool AcquireFlight(const CacheKey& key, const CancelToken& token);
-  void ReleaseFlight(const CacheKey& key);
+  /// True when the request takes the cache path (and so a flight).
+  bool UsesCache(const ServeRequest& request) const;
+
+  /// Single-flight coalescing in request order: records that `state` has
+  /// computed `key`, then returns once it leads the key's flight — every
+  /// earlier cache-path request has computed its key, and no earlier
+  /// request with this key is still in the flight — or once its token is
+  /// cancelled (it then leaves the flight without leading it).
+  void AcquireFlight(RequestState& state, const CacheKey& key);
+  /// Takes a finished request off the key stage and out of its flight,
+  /// letting the next duplicate lead. Idempotent; runs on every exit.
+  void LeaveFlight(RequestState& state);
 
   /// In-order emission: responses buffer until every earlier sequence
   /// number has been written.
@@ -156,7 +170,10 @@ class Server {
 
   std::mutex flights_mutex_;
   std::condition_variable flights_cv_;
-  std::set<CacheKey> flights_;
+  /// Seqs of admitted cache-path solves that have not computed their key.
+  std::set<std::uint64_t> keying_;
+  /// Per key, the seqs in its flight; the lowest one leads.
+  std::map<CacheKey, std::set<std::uint64_t>> flights_;
 
   std::mutex emit_mutex_;
   std::ostream* out_ = nullptr;

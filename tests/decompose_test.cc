@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <set>
 #include <thread>
@@ -258,20 +259,35 @@ TEST(DecomposeTest, FiredTokenSurfacesCancelledNotATruncatedResult) {
 }
 
 TEST(DecomposeTest, DeadlineMidSolvePreservesTheAnytimeInvariant) {
-  // Slow blocks against a short wall: the solve must come back OK and
+  // A deadline that expires mid-solve: the solve must come back OK and
   // timed_out with a fully stitched incumbent whose energy matches its
-  // bits exactly — never a half-applied block, never an error.
+  // bits exactly — never a half-applied block, never an error. The expiry
+  // is forced rather than raced: round 0's solver calls (one per block of
+  // two or more variables; singletons never reach the solver) answer at
+  // once, and every later call first sleeps until the deadline it was
+  // handed. The pool finishes round 0 before round 1 starts, so round 0
+  // is stitched and the deadline fires inside round 1 at any core count.
   const QuboModel qubo = MakeTestQubo(40);
   DecomposeOptions options;
   options.max_subproblem_size = 5;
   options.max_rounds = 50;
   options.seed = 3;
   options.deadline = Deadline::AfterMillis(60);
+  const std::vector<std::vector<int>> round0_blocks = PartitionQuboVariables(
+      qubo, qubo.BuildCsrAdjacency(), options.max_subproblem_size,
+      PartitionSeed(options.seed, 0));
+  const int round0_calls = static_cast<int>(std::count_if(
+      round0_blocks.begin(), round0_blocks.end(),
+      [](const std::vector<int>& block) { return block.size() >= 2; }));
+  std::atomic<int> calls{0};
   const auto result = SolveQuboDecomposed(
       qubo, options,
-      [](const QuboModel& subproblem, std::uint64_t seed,
-         const Deadline& deadline) -> StatusOr<SubproblemResult> {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      [&calls, round0_calls](const QuboModel& subproblem, std::uint64_t seed,
+                             const Deadline& deadline)
+          -> StatusOr<SubproblemResult> {
+        if (calls.fetch_add(1) >= round0_calls) {
+          std::this_thread::sleep_until(deadline.when());
+        }
         return ExactSubproblemSolver(subproblem, seed, deadline);
       });
   ASSERT_TRUE(result.ok()) << result.status().ToString();

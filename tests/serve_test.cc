@@ -376,6 +376,35 @@ TEST_F(ServeServerTest, DuplicateRequestHitsCacheWithIdenticalPayload) {
   EXPECT_EQ(server.Cache().Counters().misses, 1);
 }
 
+TEST_F(ServeServerTest, LaterDuplicateWaitsForTheEarlierRequestsKey) {
+  // Single flight follows request order, not arrival at the flight: the
+  // hook holds back the first request it sees before that request
+  // computes its key, so the duplicate m2 could reach the flight first.
+  // m1 must still lead and m2 still hit, whatever the delay.
+  ThreadPool pool(4);
+  ScopedDefaultPool guard(&pool);
+  std::atomic<bool> delayed{false};
+  ServerOptions options;
+  options.test_request_hook = [&delayed](const Deadline&) {
+    if (!delayed.exchange(true)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+  };
+  Server server(options);
+  const std::vector<std::string> responses =
+      RunServer(options, {MqoRequest("m1", kMqoWorkload),
+                          MqoRequest("m2", kMqoWorkload)},
+                &server);
+  ASSERT_EQ(responses.size(), 2u);
+  JsonValue first = ParseResponse(responses[0]);
+  JsonValue second = ParseResponse(responses[1]);
+  EXPECT_FALSE(first.Find("cached")->GetBool().value());
+  EXPECT_TRUE(second.Find("cached")->GetBool().value());
+  EXPECT_EQ(first.Find("result")->Dump(), second.Find("result")->Dump());
+  EXPECT_EQ(server.Cache().Counters().hits_exact, 1);
+  EXPECT_EQ(server.Cache().Counters().misses, 1);
+}
+
 TEST_F(ServeServerTest, IsomorphicRelabelingHitsThroughCanonicalForm) {
   ServerOptions options;
   Server server(options);
