@@ -4,12 +4,18 @@
 #include <atomic>
 #include <cmath>
 
+#include "anneal/metropolis.h"
 #include "common/check.h"
 #include "common/fault_injection.h"
 #include "common/random.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+
+#if QQO_SIMD_X86
+#include <immintrin.h>
+#endif
 
 namespace qopt {
 namespace {
@@ -31,9 +37,11 @@ namespace {
 /// variable) for sparse problems, and full dense coefficient rows for
 /// dense ones, where the unit-stride `field[j] += sign * row[j]` pass over
 /// all n columns vectorizes and out-runs the gather through a CSR row.
+/// The dense pass dispatches on the SIMD level resolved once per solve.
 struct SweepGraph {
   int n = 0;
   bool dense = false;
+  SimdLevel simd = SimdLevel::kScalar;
   std::vector<double> linear;
   CsrAdjacency csr;
   std::vector<double> rows;  ///< n*n, row-major, 0.0 where no coupling.
@@ -57,6 +65,7 @@ SweepGraph BuildSweepGraph(const QuboModel& qubo) {
       graph.n >= 2 && graph.n <= kDenseRowMaxVars &&
       qubo.Density() >= kDenseRowThreshold;
   if (graph.dense) {
+    graph.simd = ActiveSimdLevel();
     const std::size_t n = static_cast<std::size_t>(graph.n);
     graph.rows.assign(n * n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
@@ -70,6 +79,30 @@ SweepGraph BuildSweepGraph(const QuboModel& qubo) {
   }
   return graph;
 }
+
+#if QQO_SIMD_X86
+/// AVX2 twin of the dense `field[j] += sign * row[j]` pass. sign is +-1,
+/// so sign * row[j] is exact and the update is one correctly rounded
+/// add, or the subtraction that IEEE defines as adding the negation:
+/// lane for lane the same double as the scalar loop. The tail past the
+/// last full vector runs the scalar loop.
+QQO_SIMD_TARGET_AVX2 void AddSignedRowAvx2(double* field, const double* row,
+                                           double sign, std::size_t n) {
+  std::size_t j = 0;
+  if (sign > 0.0) {
+    for (; j + 4 <= n; j += 4) {
+      _mm256_storeu_pd(field + j, _mm256_add_pd(_mm256_loadu_pd(field + j),
+                                                _mm256_loadu_pd(row + j)));
+    }
+  } else {
+    for (; j + 4 <= n; j += 4) {
+      _mm256_storeu_pd(field + j, _mm256_sub_pd(_mm256_loadu_pd(field + j),
+                                                _mm256_loadu_pd(row + j)));
+    }
+  }
+  for (; j < n; ++j) field[j] += sign * row[j];
+}
+#endif
 
 /// Derives a default inverse-temperature range from the problem's energy
 /// scale, mirroring dwave-neal: hot enough that the largest single-flip
@@ -163,6 +196,12 @@ struct ReadState {
       const std::size_t n = static_cast<std::size_t>(graph.n);
       const double* row = graph.rows.data() + idx * n;
       double* field = local_field.data();
+#if QQO_SIMD_X86
+      if (graph.simd == SimdLevel::kAvx2) {
+        AddSignedRowAvx2(field, row, sign, n);
+        return;
+      }
+#endif
       for (std::size_t j = 0; j < n; ++j) field[j] += sign * row[j];
     } else {
       for (std::size_t k = graph.csr.offsets[idx];
@@ -271,6 +310,7 @@ StatusOr<AnnealResult> TrySolveQuboWithAnnealing(const QuboModel& qubo,
         state.Reset(graph, qubo, &rng);
         double beta = beta_min;
         bool cut_short = false;
+        long long accepted = 0;  // Metropolis accepts, counted once per read
         // QQO_LOOP(anneal.sweep)
         for (int sweep = 0; sweep < options.num_sweeps; ++sweep) {
           QQO_COUNT("anneal.sweeps", 1);
@@ -289,15 +329,19 @@ StatusOr<AnnealResult> TrySolveQuboWithAnnealing(const QuboModel& qubo,
           }
           for (int i = 0; i < n; ++i) {
             const double delta = state.FlipDelta(i);
-            if (delta <= 0.0 || rng.NextDouble() < std::exp(-beta * delta)) {
+            if (delta <= 0.0 ||
+                MetropolisAccept(rng.NextDouble(), beta * delta)) {
               state.CommitFlip(graph, i);
               state.energy += delta;
+              ++accepted;
             }
           }
           for (const auto& group : options.flip_groups) {
             const double delta = state.GroupDelta(graph, group);
-            if (delta <= 0.0 || rng.NextDouble() < std::exp(-beta * delta)) {
+            if (delta <= 0.0 ||
+                MetropolisAccept(rng.NextDouble(), beta * delta)) {
               state.CommitGroup(graph, group, delta);
+              ++accepted;
             }
           }
           beta *= beta_ratio;
@@ -324,6 +368,7 @@ StatusOr<AnnealResult> TrySolveQuboWithAnnealing(const QuboModel& qubo,
             }
           }
         }
+        QQO_COUNT("anneal.flips_accepted", accepted);
         read_energies[read] = state.energy;
         // Copy (not move) so the worker's arena keeps its storage for the
         // next read.

@@ -1,14 +1,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "anneal/chimera.h"
 #include "anneal/embedding.h"
 #include "anneal/embedding_composite.h"
+#include "anneal/metropolis.h"
 #include "anneal/minor_embedder.h"
 #include "anneal/pegasus.h"
 #include "anneal/simulated_annealer.h"
+#include "bilp/bilp_to_qubo.h"
 #include "common/random.h"
+#include "common/simd.h"
+#include "joinorder/join_order_bilp_encoder.h"
+#include "joinorder/query_graph.h"
+#include "mqo/mqo_generator.h"
+#include "mqo/mqo_qubo_encoder.h"
 #include "qubo/brute_force_solver.h"
 
 namespace qopt {
@@ -101,6 +113,148 @@ TEST(AnnealerTest, ConstantObjectiveHandled) {
   qubo.AddOffset(5.0);
   const AnnealResult result = SolveQuboWithAnnealing(qubo);
   EXPECT_DOUBLE_EQ(result.best_energy, 5.0);
+}
+
+// --- Golden pins -------------------------------------------------------------
+//
+// Exact results of three seeded solves, recorded from the sweep kernel
+// that called std::exp on every uphill proposal and ran the dense field
+// update as a plain scalar loop. They pin "same draw, same decision" for
+// every proposal: the early Metropolis decision, the inlined RNG and the
+// AVX2 field update must reproduce them bit for bit, at the scalar and at
+// the best SIMD level.
+
+std::string BitString(const std::vector<std::uint8_t>& bits) {
+  std::string out;
+  for (const std::uint8_t b : bits) out += b ? '1' : '0';
+  return out;
+}
+
+void ExpectGolden(const QuboModel& qubo, const AnnealOptions& options,
+                  const std::string& bits, double best_energy,
+                  const std::vector<double>& read_energies) {
+  for (const SimdLevel level : {SimdLevel::kScalar, BestSupportedSimdLevel()}) {
+    ScopedSimdLevel guard(level);
+    SCOPED_TRACE(SimdLevelName(level));
+    const AnnealResult result = SolveQuboWithAnnealing(qubo, options);
+    EXPECT_EQ(BitString(result.best_bits), bits);
+    EXPECT_EQ(result.best_energy, best_energy);
+    EXPECT_EQ(result.read_energies, read_energies);
+  }
+}
+
+TEST(AnnealerGoldenTest, DenseRowsOnTheTenByTenMqoEncoding) {
+  // workloads/mqo_batch_10x10.json: 100 variables at density 0.38, above
+  // the dense-row threshold.
+  MqoGeneratorOptions gen;
+  gen.num_queries = 10;
+  gen.plans_per_query = 10;
+  gen.seed = 4;
+  const QuboModel qubo = EncodeMqoAsQubo(GenerateMqoProblem(gen)).qubo;
+  ASSERT_EQ(qubo.NumVariables(), 100);
+  ASSERT_GE(qubo.Density(), 0.35);
+  AnnealOptions options;
+  options.num_reads = 6;
+  options.num_sweeps = 400;
+  options.seed = 7;
+  ExpectGolden(qubo, options,
+               "00010000000000000001000000000100010000000100000000000100000000"
+               "00000001001000000010000000000000100000",
+               -0x1.d3a6f70ecdd05p+8,
+               {-0x1.aed82c873281dp+8, -0x1.aef903b8c3687p+8,
+                -0x1.b4f0548ec2994p+8, -0x1.c274c5806a367p+8,
+                -0x1.9205880b3b3fap+8, -0x1.d3a6f70ecd285p+8});
+}
+
+TEST(AnnealerGoldenTest, CsrRowsOnABilpJoinEncoding) {
+  JoinOrderEncoderOptions encoder;
+  encoder.thresholds = {10.0, 100.0};
+  const QuboModel qubo =
+      EncodeBilpAsQubo(
+          EncodeJoinOrderAsBilp(GenerateStarQuery(4, 100.0, 0.1, 3), encoder)
+              .bilp)
+          .qubo;
+  ASSERT_EQ(qubo.NumVariables(), 70);
+  ASSERT_LT(qubo.Density(), 0.35);
+  AnnealOptions options;
+  options.num_reads = 6;
+  options.num_sweeps = 400;
+  options.seed = 11;
+  ExpectGolden(qubo, options,
+               "01101000000110101000011000100011110101010000001010001110111"
+               "00000100000",
+               0x1.9p+7,
+               {0x1.9p+7, 0x1.5f8p+9, 0x1.5f8p+9, 0x1.9p+7, 0x1.f6p+8,
+                0x1.9cp+9});
+}
+
+TEST(AnnealerGoldenTest, GroupFlips) {
+  const QuboModel qubo = MakeRandomQubo(30, 0.2, 31);
+  ASSERT_LT(qubo.Density(), 0.35);
+  AnnealOptions options;
+  options.num_reads = 6;
+  options.num_sweeps = 300;
+  options.seed = 13;
+  options.flip_groups = {{0, 1, 2}, {3, 4}, {5, 10, 15, 20}, {7, 8}, {28, 29}};
+  ExpectGolden(qubo, options, "011101001000010111011110111010",
+               -0x1.d8bc8aa061adcp+4,
+               {-0x1.d8bc8aa061adp+4, -0x1.d8bc8aa061ad1p+4,
+                -0x1.d8bc8aa061ae1p+4, -0x1.d8bc8aa061ad8p+4,
+                -0x1.d8bc8aa061adcp+4, -0x1.d8bc8aa061ad6p+4});
+}
+
+TEST(MetropolisAcceptTest, MatchesTheExpComparisonEverywhere) {
+  // x from 0 to 800, densely across ln 2^53 ~ 36.74 and the clamp row
+  // (~38.1), across exp's underflow to 0 near 745, and on both sides of
+  // every bracket-row boundary up to the clamp; u on the NextDouble grid
+  // (0, 2^-53, 2 * 2^-53, the draws around exp(-x), 1 - 2^-53), the
+  // off-grid doubles next to exp(-x), and the doubles next to the row's
+  // bounds, exp(-x) * 2^(+-1/64).
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs = {inf, -inf, -1.0,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::denorm_min()};
+  for (int k = 0; k <= 3200; ++k) xs.push_back(0.25 * k);
+  for (int k = 0; k <= 20000; ++k) {
+    xs.push_back(36.5 + 1e-4 * k);
+    xs.push_back(744.5 + 1e-4 * k);
+  }
+  const double per_row = metropolis_internal::kLog2eTimesSteps;
+  for (int m = 1; m <= 64 * 56; ++m) {
+    const double boundary = m / per_row;
+    xs.push_back(std::nextafter(boundary, 0.0));
+    xs.push_back(boundary);
+    xs.push_back(std::nextafter(boundary, inf));
+  }
+  const double step = 0x1.0p-53;
+  const double row_ratio = std::exp2(1.0 / 64.0);
+  int checked = 0;
+  int mismatches = 0;
+  std::ostringstream first;
+  for (const double x : xs) {
+    const double e = std::exp(-x);
+    std::vector<double> us = {0.0, step, 2 * step, 1.0 - step};
+    for (const double edge : {e, e * row_ratio, e / row_ratio}) {
+      if (!(edge > 0.0 && edge < 1.0)) continue;
+      us.push_back(std::nextafter(edge, 0.0));
+      us.push_back(edge);
+      us.push_back(std::nextafter(edge, 1.0));
+      const double k = std::floor(edge / step);
+      for (double d = -1.0; d <= 2.0; d += 1.0) {
+        if (k + d >= 0.0 && (k + d) * step < 1.0) us.push_back((k + d) * step);
+      }
+    }
+    for (const double u : us) {
+      ++checked;
+      if (MetropolisAccept(u, x) != (u < e)) {
+        if (mismatches++ == 0) {
+          first << std::hexfloat << "u=" << u << " x=" << x;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 500000);
+  EXPECT_EQ(mismatches, 0) << "first mismatch at " << first.str();
 }
 
 // --- Chimera ------------------------------------------------------------------

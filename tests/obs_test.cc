@@ -120,13 +120,13 @@ TEST_F(ObsTest, SchedulingMetricsExcludedFromStableSnapshot) {
             nullptr);
   EXPECT_EQ(FindRow(Metrics::Instance().Snapshot(false), "race.wait_polls"),
             nullptr);
-  const Metrics::Row* row = FindRow(Metrics::Instance().Snapshot(true),
-                                    "threadpool.queue_depth");
+  // FindRow points into the snapshot, so the snapshot must outlive it.
+  const std::vector<Metrics::Row> all = Metrics::Instance().Snapshot(true);
+  const Metrics::Row* row = FindRow(all, "threadpool.queue_depth");
   ASSERT_NE(row, nullptr);
   EXPECT_TRUE(row->scheduling);
   EXPECT_EQ(row->sum, 3);
-  const Metrics::Row* race_row =
-      FindRow(Metrics::Instance().Snapshot(true), "race.wait_polls");
+  const Metrics::Row* race_row = FindRow(all, "race.wait_polls");
   ASSERT_NE(race_row, nullptr);
   EXPECT_TRUE(race_row->scheduling);
 }
@@ -302,6 +302,43 @@ TEST_F(ObsTest, TracedMqoSolveIsByteIdenticalAcrossThreadCounts) {
   // The tables are not trivially empty: the annealer actually counted.
   EXPECT_NE(at_one.first.find("anneal.sweeps"), std::string::npos);
   EXPECT_NE(at_one.second.find("solve.dispatch"), std::string::npos);
+}
+
+TEST_F(ObsTest, AnnealAcceptedFlipsIdenticalAcrossThreadCounts) {
+  // anneal.flips_accepted is added once per read, so it is a pure function
+  // of the seeded reads: identical at 1 and 8 threads, non-zero, and at
+  // most the number of proposals (every sweep proposes each variable).
+  MqoGeneratorOptions gen;
+  gen.num_queries = 4;
+  gen.plans_per_query = 4;
+  gen.seed = 2;
+  const MqoProblem problem = GenerateMqoProblem(gen);
+  OptimizerOptions options;
+  options.backend = Backend::kSimulatedAnnealing;
+  options.anneal.num_reads = 8;
+  options.anneal.num_sweeps = 200;
+  options.seed = 3;
+
+  auto accepted_and_sweeps = [&](int threads) {
+    ThreadPool pool(threads);
+    ScopedDefaultPool guard(&pool);
+    Metrics::Instance().Reset();
+    Metrics::Instance().Enable();
+    EXPECT_TRUE(SolveMqo(problem, options).valid);
+    Metrics::Instance().Disable();
+    const std::vector<Metrics::Row> rows = Metrics::Instance().Snapshot(false);
+    const Metrics::Row* accepted = FindRow(rows, "anneal.flips_accepted");
+    const Metrics::Row* sweeps = FindRow(rows, "anneal.sweeps");
+    EXPECT_NE(accepted, nullptr);
+    EXPECT_NE(sweeps, nullptr);
+    return std::make_pair(accepted ? accepted->sum : -1,
+                          sweeps ? sweeps->sum : -1);
+  };
+  const auto at_one = accepted_and_sweeps(1);
+  const auto at_eight = accepted_and_sweeps(8);
+  EXPECT_EQ(at_one, at_eight);
+  EXPECT_GT(at_one.first, 0);
+  EXPECT_LE(at_one.first, at_one.second * 16);  // 16 variables per sweep
 }
 
 TEST_F(ObsTest, QaoaSolveCoversAcceptanceMetrics) {

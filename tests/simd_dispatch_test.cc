@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,8 @@
 #include "common/random.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
+#include "mqo/mqo_generator.h"
+#include "mqo/mqo_qubo_encoder.h"
 #include "qubo/qubo_model.h"
 
 namespace qopt {
@@ -96,12 +99,23 @@ TEST(SimdDispatchTest, StatevectorAmplitudesBitIdentical) {
 }
 
 TEST(SimdDispatchTest, AnnealingSolutionsIdenticalSparseAndDense) {
-  // One QUBO on each side of the dense-row layout threshold: 0.1 stays on
-  // the CSR path, 0.8 switches to contiguous coefficient rows. The layout
-  // is a function of the problem alone, so results must not depend on
-  // SIMD level or thread count either way.
-  for (const double density : {0.1, 0.8}) {
-    const QuboModel qubo = RandomQubo(40, density, 11);
+  // QUBOs on each side of the dense-row layout threshold: 0.1 stays on the
+  // CSR path, 0.8 switches to contiguous coefficient rows. The layout is a
+  // function of the problem alone, so results must not depend on SIMD
+  // level or thread count either way. 43 variables is not a multiple of
+  // the AVX2 width, so the vector field update's scalar tail runs too; the
+  // 10x10 MQO encoding (density 0.38) sits just above the threshold.
+  MqoGeneratorOptions gen;
+  gen.num_queries = 10;
+  gen.plans_per_query = 10;
+  gen.seed = 4;
+  const std::vector<std::pair<std::string, QuboModel>> cases = {
+      {"n=40 density 0.1", RandomQubo(40, 0.1, 11)},
+      {"n=40 density 0.8", RandomQubo(40, 0.8, 11)},
+      {"n=43 density 0.8", RandomQubo(43, 0.8, 11)},
+      {"mqo 10x10", EncodeMqoAsQubo(GenerateMqoProblem(gen)).qubo},
+  };
+  for (const auto& [name, qubo] : cases) {
     AnnealOptions options;
     options.num_reads = 8;
     options.num_sweeps = 150;
@@ -110,9 +124,9 @@ TEST(SimdDispatchTest, AnnealingSolutionsIdenticalSparseAndDense) {
     ExpectInvariantAcrossSimdAndThreads(
         [&] { return SolveQuboWithAnnealing(qubo, options); },
         [&](const AnnealResult& a, const AnnealResult& b) {
-          EXPECT_EQ(a.best_bits, b.best_bits) << "density " << density;
-          EXPECT_EQ(a.best_energy, b.best_energy);
-          EXPECT_EQ(a.read_energies, b.read_energies);
+          EXPECT_EQ(a.best_bits, b.best_bits) << name;
+          EXPECT_EQ(a.best_energy, b.best_energy) << name;
+          EXPECT_EQ(a.read_energies, b.read_energies) << name;
         });
   }
 }
